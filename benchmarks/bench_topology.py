@@ -1,4 +1,4 @@
-"""Topology-pipeline benchmarks: incremental refresh vs from-scratch.
+"""Topology-refresh benchmarks: one snapshot build per quantum.
 
 Each benchmark walks a :class:`~repro.net.topology.TopologyService`
 through a precomputed per-quantum position schedule (mobility sampling is
@@ -6,18 +6,12 @@ hoisted out of the timed region, so the numbers isolate topology work):
 
 * **pause-heavy** (200 and 1000 nodes) — random-waypoint motion with
   long (30-minute) pauses sampled past its initial all-moving transient:
-  most quanta move only a handful of nodes, which is exactly the regime
-  the incremental delta path (snapshot reuse, copy-on-write patching,
-  BFS tree retention) is built for.  Paused nodes yield the *same* ``Point``
-  object each quantum, as the network position ledger does in real runs.
-* **churn-heavy** (200 nodes) — every node teleports every quantum, so
-  each refresh exceeds the delta threshold and falls back to the
-  from-scratch build.  The incremental arm must stay within ~10% of the
-  plain rebuild: the diff is the only extra cost.
+  most quanta move only a handful of nodes.
+* **churn-heavy** (200 nodes) — every node teleports every quantum.
 
-``run_bench.py --suite topology`` gates all six timings against
-``BENCH_topology.json`` and derives the speedup/overhead ratios into the
-baseline metadata via :func:`topology_speedups`.
+Every quantum builds a fresh snapshot in both regimes.
+``run_bench.py --suite topology`` gates the three timings against
+``BENCH_topology.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ TICKS = 60
 PAUSE = 1800.0
 
 #: Schedules are expensive to sample (60k positions at the 1000-node
-#: scale), so they are built once per process and shared by both arms.
+#: scale), so they are built once per process.
 _SCHEDULES: Dict[str, List[Dict[int, Point]]] = {}
 
 
@@ -52,11 +46,7 @@ def pause_heavy_schedule(count: int, seed: int = 7) -> List[Dict[int, Point]]:
     last ``PAUSE`` (1800) s, so a node is parked ~95% of the time.  Every
     model starts a leg at t=0, which would keep the population travelling
     in synchronized waves; a random per-node phase offset staggers the
-    cycles so each quantum sees the steady-state mover fraction instead
-    (the fraction is asserted by the benchmark tests: it must stay under
-    the service's delta threshold).  During a pause the model returns the
-    same ``Point`` object every sample, which is what the network
-    position ledger feeds the topology service in real runs.
+    cycles so each quantum sees the steady-state mover fraction instead.
     """
     key = f"pause_{count}"
     if key not in _SCHEDULES:
@@ -87,7 +77,7 @@ def pause_heavy_schedule(count: int, seed: int = 7) -> List[Dict[int, Point]]:
 
 
 def churn_heavy_schedule(count: int, seed: int = 11) -> List[Dict[int, Point]]:
-    """Worst case for the delta path: every node teleports every quantum."""
+    """Every node teleports every quantum."""
     key = f"churn_{count}"
     if key not in _SCHEDULES:
         terrain = _scaled_terrain(count)
@@ -99,14 +89,12 @@ def churn_heavy_schedule(count: int, seed: int = 11) -> List[Dict[int, Point]]:
     return _SCHEDULES[key]
 
 
-def _make_refresh_bench(
-    schedule: List[Dict[int, Point]], incremental: bool
-) -> Callable[[], None]:
+def _make_refresh_bench(schedule: List[Dict[int, Point]]) -> Callable[[], None]:
     """One iteration = a fresh service walking every quantum of ``schedule``.
 
     Pure refresh cost: the per-quantum query mix is covered by the kernel
-    suite (route/flood bursts); here the two arms isolate what building
-    each quantum's snapshot costs with and without the delta pipeline.
+    suite (route/flood bursts); here each arm isolates what building each
+    quantum's snapshot costs.
     """
 
     def run() -> None:
@@ -120,7 +108,6 @@ def _make_refresh_bench(
             radio_range=RADIO_RANGE,
             quantum=1.0,
         )
-        service.incremental = incremental
         for tick, states in enumerate(schedule):
             clock["t"] = float(tick)
             row["states"] = states
@@ -135,26 +122,8 @@ def topology_benchmarks(workdir: str) -> List[Tuple[str, Callable[[], None]]]:
     pause_1000 = pause_heavy_schedule(1000)
     churn_200 = churn_heavy_schedule(200)
     return [
-        ("pause_fresh_200", _make_refresh_bench(pause_200, incremental=False)),
-        ("pause_incremental_200", _make_refresh_bench(pause_200, incremental=True)),
-        ("pause_fresh_1000", _make_refresh_bench(pause_1000, incremental=False)),
-        ("pause_incremental_1000", _make_refresh_bench(pause_1000, incremental=True)),
-        ("churn_fresh_200", _make_refresh_bench(churn_200, incremental=False)),
-        ("churn_incremental_200", _make_refresh_bench(churn_200, incremental=True)),
+        ("pause_fresh_200", _make_refresh_bench(pause_200)),
+        ("pause_fresh_1000", _make_refresh_bench(pause_1000)),
+        ("churn_fresh_200", _make_refresh_bench(churn_200)),
     ]
 
-
-def topology_speedups(results: Dict[str, float]) -> Dict[str, float]:
-    """Derive incremental speedups (and churn overhead) from the timings."""
-    ratios: Dict[str, float] = {}
-    for scale in (200, 1000):
-        fresh = results.get(f"pause_fresh_{scale}")
-        patched = results.get(f"pause_incremental_{scale}")
-        if fresh and patched:
-            ratios[f"pause_speedup_{scale}"] = fresh / patched
-    fresh = results.get("churn_fresh_200")
-    patched = results.get("churn_incremental_200")
-    if fresh and patched:
-        # > 1.0 means the delta detection overhead slowed the worst case.
-        ratios["churn_overhead"] = patched / fresh
-    return ratios

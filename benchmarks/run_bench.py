@@ -19,11 +19,10 @@ file:
 * ``trace`` — the observability layer of ``bench_trace.py`` (the same
   run untraced, with a null sink, and with JSONL export), gated against
   ``BENCH_trace.json``;
-* ``topology`` — the incremental snapshot pipeline of
-  ``bench_topology.py`` (pause-heavy 200/1000-node refresh walks,
-  incremental vs from-scratch, plus the churn-heavy worst case), gated
-  against ``BENCH_topology.json``; the incremental speedups land in the
-  result metadata;
+* ``topology`` — the per-quantum snapshot refresh of
+  ``bench_topology.py`` (pause-heavy 200/1000-node refresh walks plus a
+  churn-heavy walk where every node moves every quantum), gated against
+  ``BENCH_topology.json``;
 * ``faults`` — the fault-injection layer of ``bench_faults.py`` (the
   same chaos-scale run fault-free and under the shipped partition,
   bursty-loss, and crash-reboot plans), gated against
@@ -378,12 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from benchmarks.bench_engine import engine_speedups
 
             for name, value in engine_speedups(results).items():
-                meta[name] = round(value, 3)
-                print(f"  {name:<24} {value:10.2f}x")
-        elif suite == "topology":
-            from benchmarks.bench_topology import topology_speedups
-
-            for name, value in topology_speedups(results).items():
                 meta[name] = round(value, 3)
                 print(f"  {name:<24} {value:10.2f}x")
         elif suite == "scale":

@@ -316,9 +316,7 @@ def _command_run(args: argparse.Namespace, executor: CampaignExecutor) -> None:
     if stats:
         print("topology: "
               f"{stats.get('snapshots_built', 0)} built, "
-              f"{stats.get('snapshots_reused', 0)} reused, "
-              f"{stats.get('incremental_updates', 0)} incremental "
-              f"({stats.get('bfs_trees_retained', 0)} BFS trees retained)")
+              f"{stats.get('invalidations', 0)} invalidations")
     _print_fault_stats(result)
     _print_control_decisions(result)
 

@@ -125,8 +125,8 @@ class SimulationResult:
     mean_battery_fraction: float = 0.0
     wall_clock_seconds: float = 0.0
     events_processed: int = 0
-    #: TopologyService counters (snapshots built/reused, incremental
-    #: updates, retained BFS trees, invalidations) at end of run.
+    #: TopologyService counters (snapshots built, invalidations; the
+    #: reused/incremental keys are always 0) at end of run.
     topology_stats: Dict[str, int] = field(default_factory=dict)
     #: Degradation metrics (availability, stale-serve rate in partition,
     #: time-to-reconverge); empty for fault-free runs without a meter.

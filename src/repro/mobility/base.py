@@ -9,9 +9,8 @@ Because trajectories are analytic, most models can also report *how long*
 their current position stays put: a waypoint node mid-pause is pinned
 until the pause ends, a stationary node forever, a trace replay until the
 next distinct sample.  :meth:`MobilityModel.position_valid_until` exposes
-that validity window; the network layer uses it to skip re-sampling (and
-the topology layer to skip rebuilding connectivity) for nodes that
-provably have not moved since the last snapshot.
+that validity window; the network layer uses it to skip re-sampling the
+model for nodes that provably have not moved since the last snapshot.
 """
 
 from __future__ import annotations

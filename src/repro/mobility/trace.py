@@ -53,8 +53,8 @@ class MobilityTrace:
 
         Runs of equal consecutive samples (a paused node) replay with full
         ``position_valid_until`` windows spanning the whole run, so replays
-        benefit from the incremental topology pipeline exactly like the
-        original trajectory did.
+        skip re-sampling parked nodes exactly like the original trajectory
+        did.
         """
         waypoints: List[Tuple[float, Point]] = [
             (self.start + k * self.interval, point)

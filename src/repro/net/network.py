@@ -77,9 +77,9 @@ class Network:
         self.traffic: TrafficObserver = traffic if traffic is not None else _NullTraffic()
         self._nodes: Dict[int, NetworkNode] = {}
         # node id -> (position, valid_until): positions are re-sampled from
-        # the mobility model only once their validity window expires, and
-        # the *same* Point object is served until then so the topology
-        # service can detect unmoved nodes by identity.
+        # the mobility model only once their validity window expires, so
+        # parked nodes cost a dict lookup per refresh instead of a
+        # mobility-model evaluation.
         self._position_ledger: Dict[int, Tuple[Point, float]] = {}
         # Struct-of-arrays core: with numpy installed (the ``perf`` extra)
         # and REPRO_SOA != 0, positions/online flags/validity windows live
@@ -93,7 +93,7 @@ class Network:
             node_states=self._node_states,
             radio_range=radio_range,
             quantum=topology_quantum,
-            delta_source=self._soa_ledger,
+            position_source=self._soa_ledger,
         )
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -110,11 +110,9 @@ class Network:
         """Add ``node`` to the network.  Node ids must be unique.
 
         Registration binds the node's state listener so that online/offline
-        flips mark the cached topology snapshot stale immediately —
-        otherwise unicasts for the rest of the quantum could route through
-        a node that just went offline.  The churn notice feeds the
-        incremental delta path: the next refresh patches the previous
-        snapshot rather than rebuilding it from scratch.
+        flips drop the cached topology snapshot immediately — otherwise
+        unicasts for the rest of the quantum could route through a node
+        that just went offline.
         """
         if node.node_id in self._nodes:
             raise TopologyError(f"node id {node.node_id!r} already registered")

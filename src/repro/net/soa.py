@@ -12,8 +12,8 @@ substitute for its pure-Python inner loops:
 * :class:`SoAPositionLedger` — node positions, online flags and
   position-validity deadlines in contiguous arrays, with bulk mobility
   kernels (:mod:`repro.mobility.bulk`) evaluating whole populations per
-  refresh and batched validity-window expiry waking only the nodes whose
-  windows actually lapsed.
+  refresh and batched validity-window expiry sampling only the nodes
+  whose windows actually lapsed.
 
 Everything here is *optional*: numpy ships as the ``perf`` extra.  With
 numpy absent — or ``REPRO_SOA=0`` in the environment — :func:`soa_enabled`
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.mobility.terrain import Point
 
@@ -131,9 +131,7 @@ class CsrAdjacency:
 
 
 def build_csr(
-    positions: Dict[int, Point],
-    radio_range: float,
-    position_arrays: Optional[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = None,
+    positions: Dict[int, Point], radio_range: float
 ) -> Optional[CsrAdjacency]:
     """Vectorized unit-disc adjacency over ``positions``.
 
@@ -142,17 +140,12 @@ def build_csr(
     (:func:`adjacency_from_csr` materialises the identical dict-of-lists
     on demand).  Returns ``None`` when the input cannot be vectorized
     (ids outside int64), letting the caller fall back to the scalar
-    build.
-
-    ``position_arrays`` may supply precomputed ``(ids, xs, ys)`` arrays
-    (the position ledger keeps them hot); they must match ``positions``
-    in order and value.
+    build.  An :class:`ArrayPositions` input is read from its backing
+    arrays without materialising any ``Point``.
     """
     n = len(positions)
-    if position_arrays is None and isinstance(positions, ArrayPositions):
-        position_arrays = positions.arrays()
-    if position_arrays is not None:
-        ids, xs, ys = position_arrays
+    if isinstance(positions, ArrayPositions):
+        ids, xs, ys = positions.arrays()
     else:
         try:
             ids = np.fromiter(positions.keys(), dtype=np.int64, count=n)
@@ -365,18 +358,16 @@ def bfs_from_csr(
 class ArrayPositions(Mapping):
     """Immutable, registration-ordered node-to-position mapping over arrays.
 
-    The ledger hands one out whenever a refresh changes more nodes than
-    the incremental-patch threshold allows: the snapshot rebuild that
+    The ledger hands one out on every refresh: the snapshot build that
     follows consumes the arrays directly, so the per-node ``Point`` dict
-    — the dominant cost of a refresh where everybody moves — only
-    materialises if something actually reads positions (tests, scalar
-    fallbacks, delta patches).  Iteration order is the slot (registration)
-    order of the backing arrays, matching the dict the scalar path builds;
-    values are Python floats, so a materialised entry is bit-identical to
-    its scalar counterpart.
+    only materialises if something actually reads positions (tests, the
+    scalar build of small snapshots, edge filters).  Iteration order is
+    the slot (registration) order of the backing arrays, matching the
+    dict the scalar path builds; values are Python floats, so a
+    materialised entry is bit-identical to its scalar counterpart.
     """
 
-    __slots__ = ("ids", "xs", "ys", "_dict", "_key_set", "_ids_sorted")
+    __slots__ = ("ids", "xs", "ys", "_dict", "_key_set")
 
     def __init__(self, ids: "np.ndarray", xs: "np.ndarray", ys: "np.ndarray") -> None:
         self.ids = ids
@@ -384,7 +375,6 @@ class ArrayPositions(Mapping):
         self.ys = ys
         self._dict: Optional[Dict[int, Point]] = None
         self._key_set = None
-        self._ids_sorted: Optional[bool] = None
 
     def arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """The backing ``(ids, xs, ys)`` arrays (never mutated)."""
@@ -412,22 +402,6 @@ class ArrayPositions(Mapping):
         return int(self.ids.shape[0])
 
     def __contains__(self, node: object) -> bool:
-        ids_sorted = self._ids_sorted
-        if ids_sorted is None:
-            # Registration order normally assigns ascending ids; a binary
-            # search then answers membership without materialising a
-            # Python set of every node per snapshot.
-            ids = self.ids
-            ids_sorted = self._ids_sorted = bool(
-                ids.shape[0] == 0 or bool((ids[1:] > ids[:-1]).all())
-            )
-        if ids_sorted:
-            ids = self.ids
-            try:
-                index = int(np.searchsorted(ids, node))
-            except (TypeError, ValueError):
-                return False
-            return index < ids.shape[0] and ids[index] == node
         keys = self._key_set
         if keys is None:
             keys = self._key_set = set(self.ids.tolist())
@@ -441,36 +415,20 @@ class SoAPositionLedger:
     """Positions, online flags and validity deadlines as contiguous arrays.
 
     The array-backed replacement for the network's per-node position
-    ledger *and* the topology service's change diff.  Each
-    :meth:`refresh` performs the whole per-quantum position pass in a few
-    vector operations:
+    ledger.  Each :meth:`refresh` performs the whole per-quantum position
+    pass in a few vector operations:
 
-    1. Batched validity expiry — ``online & (valid_until < now)`` wakes
-       only the nodes whose windows actually lapsed.
+    1. Batched validity expiry — ``online & (valid_until < now)`` selects
+       only the nodes whose windows actually lapsed; parked nodes are
+       not sampled.
     2. Bulk mobility — each :mod:`repro.mobility.bulk` kernel evaluates
        its lapsed members in one shot (scalar fallback per node only for
        unrecognised models).
-    3. Vectorized delta detection — moved/appeared/departed nodes fall
-       out of array comparisons against the last *reported* state, in the
-       same order the scalar diff produces (registration order for
-       moved/appeared, then departed).
-
-    The returned positions dict is never mutated after it is handed out:
-    refreshes that change anything build a fresh dict (copy-on-change),
-    so snapshots may keep references without aliasing hazards.
 
     Online state is maintained from the network's churn notifications
     (:meth:`note_state`) — the :class:`~repro.net.node.NetworkNode`
     contract requires every flip to call ``notify_state_change``.
     """
-
-    #: Mirror of ``TopologyService.delta_fraction`` / ``delta_floor``:
-    #: deltas past this threshold end in a from-scratch array build, so
-    #: the ledger skips Point-dict maintenance and returns
-    #: :class:`ArrayPositions` instead.  Correctness never depends on the
-    #: values matching the service's — only which fast path is taken.
-    PATCH_FRACTION = 0.25
-    PATCH_FLOOR = 4
 
     def __init__(self) -> None:
         self._nodes: List = []
@@ -482,10 +440,6 @@ class SoAPositionLedger:
         self._y = np.empty(0, dtype=np.float64)
         self._valid_until = np.empty(0, dtype=np.float64)
         self._online = np.empty(0, dtype=bool)
-        self._reported_online = np.empty(0, dtype=bool)
-        self._reported_x = np.empty(0, dtype=np.float64)
-        self._reported_y = np.empty(0, dtype=np.float64)
-        self._positions: Dict[int, Point] = {}
         self._ids_arr = np.empty(0, dtype=np.int64)
 
     def add(self, node) -> None:
@@ -533,29 +487,15 @@ class SoAPositionLedger:
         self._y = grow(self._y, math.nan, np.float64)
         self._valid_until = grow(self._valid_until, -math.inf, np.float64)
         self._online = grow(self._online, False, bool)
-        self._reported_online = grow(self._reported_online, False, bool)
-        self._reported_x = grow(self._reported_x, math.nan, np.float64)
-        self._reported_y = grow(self._reported_y, math.nan, np.float64)
         for offset, node in enumerate(fresh):
             self._online[start + offset] = node.online
         self._ids_arr = np.asarray(self._ids, dtype=np.int64)
 
-    def online_arrays(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """``(ids, xs, ys)`` of the online nodes, in registration order.
+    def refresh(self, now: float) -> ArrayPositions:
+        """Sample lapsed validity windows; return the online positions.
 
-        Matches the dict the latest :meth:`refresh` returned, saving the
-        from-scratch snapshot build its per-position extraction pass.
-        """
-        slots = np.nonzero(self._online)[0]
-        return self._ids_arr[slots], self._x[slots], self._y[slots]
-
-    def refresh(self, now: float) -> Tuple[Dict[int, Point], Sequence[int]]:
-        """Sample lapsed windows and diff against the last reported state.
-
-        Returns ``(positions, changed)``: the registration-ordered mapping
-        of online node to position, and the node ids whose state differs
-        from the previous report (moved, appeared or departed) in the
-        order the scalar service diff would list them.
+        The mapping holds every online node in registration order, the
+        same order the scalar per-registry scan emits.
         """
         if self._pending:
             self._absorb_pending()
@@ -568,70 +508,5 @@ class SoAPositionLedger:
                 local = kernel.local_needs(lapsed)
                 if local.size:
                     kernel.sample(now, local, x, y, valid_until)
-
-        reported_online = self._reported_online
-        appeared = online & ~reported_online
-        departed = reported_online & ~online
-        moved = lapsed & reported_online & (
-            (self._x != self._reported_x) | (self._y != self._reported_y)
-        )
-        churned = bool(appeared.any() or departed.any())
-        if not churned and not moved.any():
-            return self._positions, ()
-
-        first_arr = np.nonzero(moved | appeared)[0]
-        changed = self._ids_arr[first_arr].tolist()
-        dep_arr = np.nonzero(departed)[0]
-        if dep_arr.size:
-            changed.extend(self._ids_arr[dep_arr].tolist())
-
-        refreshed = np.nonzero(lapsed)[0]
-        self._reported_x[refreshed] = self._x[refreshed]
-        self._reported_y[refreshed] = self._y[refreshed]
-        self._reported_online = online.copy()
-
-        n_online = int(online.sum())
-        if len(changed) > max(
-            self.PATCH_FLOOR, int(n_online * self.PATCH_FRACTION)
-        ):
-            # The delta exceeds the topology service's incremental-patch
-            # threshold, so the refresh ends in a from-scratch array
-            # build: hand out the arrays and skip the Point dict — it
-            # materialises lazily if anything actually reads positions.
-            slots = np.nonzero(online)[0]
-            self._positions = ArrayPositions(
-                self._ids_arr[slots], self._x[slots], self._y[slots]
-            )
-            return self._positions, changed
-
-        base = self._positions
-        if isinstance(base, ArrayPositions):
-            base = base.materialized()
-        first = first_arr.tolist()
-        ids = self._ids
-        # tolist() hands back Python floats, so Points never leak numpy
-        # scalars into snapshot positions or anything derived from them.
-        # Every slot in ``first`` genuinely changed value (the moved mask
-        # compares against the last report), so each needs a fresh Point.
-        x_list = self._x[first_arr].tolist() if first else ()
-        y_list = self._y[first_arr].tolist() if first else ()
-        if churned:
-            # Membership changed: rebuild in registration (slot) order so
-            # appeared nodes land at their registry position, exactly as
-            # the scalar per-registry scan emits them.
-            fresh = {
-                slot: Point(x_list[index], y_list[index])
-                for index, slot in enumerate(first)
-            }
-            positions = {}
-            for slot in np.nonzero(online)[0].tolist():
-                node = ids[slot]
-                point = fresh.get(slot)
-                positions[node] = point if point is not None else base[node]
-            self._positions = positions
-        else:
-            positions = dict(base)
-            for index, slot in enumerate(first):
-                positions[ids[slot]] = Point(x_list[index], y_list[index])
-            self._positions = positions
-        return self._positions, changed
+        slots = np.nonzero(online)[0]
+        return ArrayPositions(self._ids_arr[slots], self._x[slots], self._y[slots])

@@ -10,7 +10,9 @@ one graph.
 Fast paths
 ----------
 Snapshots sit in the inner loop of every experiment, so two optimisations
-keep them cheap without changing any observable result:
+keep them cheap without changing any observable result.  Each refresh —
+a new quantum, or a churn/invalidate notice inside one — builds a fresh
+snapshot; within a quantum the cached snapshot is reused.
 
 * **Spatial-hash adjacency build.**  Nodes are bucketed into a uniform
   grid with cell size equal to the radio range; only the 3x3 cell
@@ -24,26 +26,12 @@ keep them cheap without changing any observable result:
   ``hop_distance``, ``bfs_levels``, flood and reachability query against
   that snapshot.  Traffic bursts within a topology quantum therefore pay
   for BFS once and do dict lookups afterwards.
-* **Incremental snapshot pipeline.**  Long runs alternate movement with
-  pauses (random waypoint, Table 1), so most quanta change nothing.
-  :class:`TopologyService` diffs node state against the previous snapshot
-  each refresh: an *empty* delta returns the previous snapshot object
-  unchanged — warm BFS cache and all; a *small* delta (at most
-  ``delta_fraction`` of the nodes) applies :meth:`TopologySnapshot.from_delta`,
-  a copy-on-write update that re-buckets only the moved/churned nodes in
-  the spatial grid, recomputes only their candidate edges (insertion-order
-  rank kept, so traversal stays bit-identical to a from-scratch build) and
-  retains every memoised BFS tree whose connected component no edge change
-  touched — each retention guarded by a per-component edge fingerprint.
-  Large deltas fall back to the from-scratch build, which stays the
-  worst-case cost.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.mobility.terrain import Point
@@ -83,9 +71,8 @@ class TopologySnapshot:
         edge_filter: Optional[
             Callable[[int, int, Point, Point], bool]
         ] = None,
-        position_arrays=None,
     ) -> None:
-        # ArrayPositions (the ledger's big-delta output) is already an
+        # ArrayPositions (the vectorized ledger's output) is already an
         # immutable snapshot-safe mapping: copying it into a dict would
         # materialise one Point per node, the very cost it exists to skip.
         if isinstance(positions, soa.ArrayPositions):
@@ -94,11 +81,6 @@ class TopologySnapshot:
             self.positions = dict(positions)
         self.radio_range = float(radio_range)
         self._edge_filter = edge_filter
-        self._cell = self.radio_range if self.radio_range > 0 else 1.0
-        # node -> hash of its ordered neighbour list, filled lazily by
-        # component_fingerprint / from_delta verification.  Never inherited
-        # across snapshots: each snapshot fingerprints its own actual lists.
-        self._edge_fp: Dict[int, int] = {}
         # source -> (levels, parents, items, prefix) of one full BFS, filled
         # lazily: items is levels as a list and prefix[d] counts nodes at
         # depth <= d, so depth-limited queries are a single list slice.
@@ -119,23 +101,16 @@ class TopologySnapshot:
             and len(self.positions) >= soa.BUILD_MIN_NODES
             and soa.soa_enabled()
         ):
-            self._csr = soa.build_csr(
-                self.positions, self.radio_range, position_arrays
-            )
+            self._csr = soa.build_csr(self.positions, self.radio_range)
         if self._csr is not None:
-            # The dict-of-lists adjacency, the grid and the frozen
-            # neighbour sets all materialise lazily: a regime that
-            # rebuilds every quantum (everybody moving) never needs any
-            # of them, and from_delta/has_edge build them on first touch.
+            # The dict-of-lists adjacency and the frozen neighbour sets
+            # materialise lazily: a snapshot that only sees array BFS
+            # never needs either, and has_edge builds the sets on first
+            # touch.
             self._adjacency = None
-            self._grid = None
             self._neighbor_sets = None
         else:
             self._adjacency = {node: [] for node in self.positions}
-            self._neighbor_sets = {}
-            # The spatial-hash grid is kept after the build so from_delta
-            # can re-bucket moved nodes without rescanning the population.
-            self._grid = {}
             self._build_adjacency()
         if edge_filter is not None:
             self._apply_edge_filter()
@@ -154,21 +129,6 @@ class TopologySnapshot:
     @_adjacency.setter
     def _adjacency(self, value) -> None:
         self._adjacency_store = value
-
-    @property
-    def _grid(self) -> Dict[Tuple[int, int], List[Tuple[int, Point]]]:
-        grid = self._grid_store
-        if grid is None:
-            cell = self._cell
-            grid = self._grid_store = {}
-            for node, pos in self.positions.items():
-                key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
-                grid.setdefault(key, []).append((node, pos))
-        return grid
-
-    @_grid.setter
-    def _grid(self, value) -> None:
-        self._grid_store = value
 
     @property
     def _neighbor_sets(self) -> Dict[int, frozenset]:
@@ -212,8 +172,8 @@ class TopologySnapshot:
     def _build_adjacency(self) -> None:
         # Uniform spatial hash: with cell size == radio range, any node
         # within range of a cell lies in that cell's 3x3 neighbourhood.
-        cell = self._cell
-        grid = self._grid
+        cell = self.radio_range if self.radio_range > 0 else 1.0
+        grid: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
         for node, pos in self.positions.items():
             key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
             grid.setdefault(key, []).append((node, pos))
@@ -250,208 +210,6 @@ class TopologySnapshot:
         self._neighbor_sets = {
             node: frozenset(neighbors) for node, neighbors in adjacency.items()
         }
-
-    # ------------------------------------------------------------------
-    # Incremental construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_delta(
-        cls,
-        prev: "TopologySnapshot",
-        positions: Dict[int, Point],
-        changed: Sequence[int],
-        verify_retention: bool = False,
-        order: Optional[Dict[int, int]] = None,
-    ) -> "TopologySnapshot":
-        """Build the snapshot for ``positions`` by patching ``prev``.
-
-        ``changed`` lists every node whose state differs from ``prev``:
-        moved (position changed), appeared (came online) or departed (went
-        offline).  All other nodes must be bit-identical in both snapshots.
-        ``positions`` must iterate in the same registration order a
-        from-scratch build would use.
-
-        The update is copy-on-write: ``prev`` is never mutated, and every
-        grid cell, adjacency list and frozen neighbour set the delta does
-        not touch is shared between the two snapshots.  BFS trees of
-        ``prev`` whose connected component no edge change touched are
-        carried over; with ``verify_retention`` each carried tree is
-        re-checked against a per-component edge fingerprint computed from
-        the actual neighbour lists of both snapshots (used by the property
-        tests; a mismatch raises :class:`TopologyError`).
-
-        ``order`` may supply the registration-rank map (``{node: rank}``
-        for ``enumerate(positions)``); callers that refresh repeatedly over
-        a stable population pass a cached one to skip the O(N) rebuild.
-        """
-        snap = cls.__new__(cls)
-        snap.positions = positions
-        snap.radio_range = prev.radio_range
-        cell = snap._cell = prev._cell
-        snap._edge_filter = None  # delta path is only taken unfiltered
-        snap._edge_fp = {}
-        snap._bfs_cache = {}
-        snap._bfs_partial = {}
-        snap._csr = None  # patched lists live in the dicts, not the arrays
-
-        grid = dict(prev._grid)
-        adjacency = dict(prev._adjacency)
-        neighbor_sets = dict(prev._neighbor_sets)
-        owned_cells: Set[Tuple[int, int]] = set()
-        owned_lists: Set[int] = set()
-        changed_set = set(changed)
-        touched = set(changed_set)
-
-        def own_cell(key: Tuple[int, int]) -> List[Tuple[int, Point]]:
-            members = grid.get(key)
-            if members is None:
-                members = grid[key] = []
-                owned_cells.add(key)
-            elif key not in owned_cells:
-                members = grid[key] = list(members)
-                owned_cells.add(key)
-            return members
-
-        def own_list(node: int) -> List[int]:
-            neighbors = adjacency[node]
-            if node not in owned_lists:
-                neighbors = adjacency[node] = list(neighbors)
-                owned_lists.add(node)
-            return neighbors
-
-        # Phase 1: detach every changed node that was online in prev — pull
-        # it out of its old grid cell and out of its neighbours' lists.  A
-        # node that merely *moved* keeps its dict keys in place (the stale
-        # values are overwritten below), so key order is disturbed only
-        # when a node appears — the one case that needs a re-key pass.
-        rekey = False
-        for node in changed:
-            old_pos = prev.positions.get(node)
-            if old_pos is None:
-                rekey = rekey or node in positions  # newly online
-                continue
-            own_cell(
-                (math.floor(old_pos.x / cell), math.floor(old_pos.y / cell))
-            ).remove((node, old_pos))
-            for neighbor in prev._adjacency[node]:
-                if neighbor in changed_set:
-                    continue  # rebuilt (or dropped) wholesale below
-                own_list(neighbor).remove(node)
-                touched.add(neighbor)
-            if node not in positions:  # departed: deletion keeps the
-                del adjacency[node]    # remaining keys' relative order
-                del neighbor_sets[node]
-
-        # Phase 2: attach every changed node that is online now.  The grid
-        # holds all unchanged nodes plus previously attached changed ones,
-        # so each changed-changed pair is discovered exactly once (by the
-        # later of the two attachments).  Neighbour lists stay sorted by
-        # registration rank, which keeps BFS traversal bit-identical to a
-        # from-scratch build.
-        if order is None:
-            order = {node: rank for rank, node in enumerate(positions)}
-        rank_of = order.__getitem__
-        limit_sq = snap.radio_range * snap.radio_range
-        for node in changed:
-            pos = positions.get(node)
-            if pos is None:
-                continue  # went offline
-            cell_x = math.floor(pos.x / cell)
-            cell_y = math.floor(pos.y / cell)
-            found: List[int] = []
-            for offset_x in (-1, 0, 1):
-                for offset_y in (-1, 0, 1):
-                    members = grid.get((cell_x + offset_x, cell_y + offset_y))
-                    if not members:
-                        continue
-                    for other, other_pos in members:
-                        dx = pos.x - other_pos.x
-                        dy = pos.y - other_pos.y
-                        if dx * dx + dy * dy <= limit_sq:
-                            found.append(other)
-            found.sort(key=rank_of)
-            adjacency[node] = found
-            owned_lists.add(node)
-            for other in found:
-                insort(own_list(other), node, key=rank_of)
-                touched.add(other)
-            own_cell((cell_x, cell_y)).append((node, pos))
-
-        for key in owned_cells:
-            if not grid[key]:
-                del grid[key]
-        for node in touched:
-            if node in adjacency:
-                neighbor_sets[node] = frozenset(adjacency[node])
-
-        snap._grid = grid
-        if rekey:
-            # A from-scratch build inserts keys in ``positions`` order, and
-            # downstream set/dict iteration (seed picking in
-            # connected_components, for one) is sensitive to insertion
-            # order under hash collisions.  Moves and departures preserve
-            # key order in place, but an appeared node lands at the end of
-            # both dicts, so rebuild them in registration order.  O(N)
-            # dict rebuilds; the values (lists/frozensets) stay shared.
-            snap._adjacency = {node: adjacency[node] for node in positions}
-            snap._neighbor_sets = {
-                node: neighbor_sets[node] for node in positions
-            }
-        else:
-            snap._adjacency = adjacency
-            snap._neighbor_sets = neighbor_sets
-
-        # Phase 3: carry over BFS trees from components no edge change
-        # touched.  ``touched`` is exactly the set of nodes whose neighbour
-        # list changed, so a tree is still valid iff it is disjoint from it
-        # (new nodes attach only to touched neighbours, hence stay
-        # unreachable from retained sources).
-        for source, tree in prev._bfs_cache.items():
-            levels = tree[0]
-            if len(touched) <= len(levels):
-                dirty = any(node in levels for node in touched)
-            else:
-                dirty = any(node in touched for node in levels)
-            if dirty:
-                continue
-            if verify_retention and prev.component_fingerprint(
-                source
-            ) != snap._fingerprint_over(levels):
-                raise TopologyError(
-                    f"retained BFS tree from {source} fails the component "
-                    "edge-fingerprint check (copy-on-write aliasing bug?)"
-                )
-            snap._bfs_cache[source] = tree
-        return snap
-
-    def _fingerprint_over(self, nodes: Iterable[int]) -> int:
-        """XOR of per-node edge fingerprints over ``nodes``.
-
-        Each per-node fingerprint hashes the node id plus its ordered
-        neighbour list, computed from this snapshot's actual adjacency (and
-        memoised per node), so equal component fingerprints mean every
-        listed node has an identical neighbourhood in both snapshots.
-        """
-        fingerprint = 0
-        edge_fp = self._edge_fp
-        adjacency = self._adjacency
-        for node in nodes:
-            node_fp = edge_fp.get(node)
-            if node_fp is None:
-                node_fp = edge_fp[node] = hash((node, tuple(adjacency[node])))
-            fingerprint ^= node_fp
-        return fingerprint
-
-    def component_fingerprint(self, node: int) -> int:
-        """Edge fingerprint of the connected component containing ``node``.
-
-        Two snapshots agree on a component's fingerprint iff every member
-        has an identical ordered neighbour list in both (modulo hash
-        collisions), which is the retention condition for carrying a
-        memoised BFS tree across an incremental update.
-        """
-        levels, _, _, _ = self._bfs_from(node)
-        return self._fingerprint_over(levels)
 
     # ------------------------------------------------------------------
     # Queries
@@ -672,23 +430,13 @@ class TopologyService:
         speed, a 1 s quantum bounds position error by 20 m — well under the
         250 m radio range.
 
-    Refreshes (new bucket, or churn inside the current one) diff the fresh
-    node state against the previous snapshot.  No change reuses the
-    previous snapshot object outright; a delta no larger than
-    ``delta_fraction`` of the population (with an absolute floor of
-    ``delta_floor`` nodes) patches it via
-    :meth:`TopologySnapshot.from_delta`; anything larger rebuilds from
-    scratch.  ``incremental = False`` disables both fast paths (every
-    refresh rebuilds), which the benchmarks use as the baseline.
+    A refresh — the first call in a new bucket, or any call after
+    :meth:`note_churn` or :meth:`invalidate` — builds a fresh snapshot;
+    calls inside the bucket return the cached one.
 
-    Counters: ``snapshots_built`` counts from-scratch builds,
-    ``incremental_updates`` delta patches, ``snapshots_reused`` unchanged
-    reuses, ``bfs_trees_retained`` memoised BFS trees carried across
-    patches, and ``invalidations`` explicit churn/invalidate notices.
+    Counters: ``snapshots_built`` counts builds and ``invalidations``
+    churn/invalidate notices.
     """
-
-    delta_fraction = 0.25
-    delta_floor = 4
 
     def __init__(
         self,
@@ -696,7 +444,7 @@ class TopologyService:
         node_states: Callable[[], Iterable[Tuple[int, Optional[Point], bool]]],
         radio_range: float,
         quantum: float = 1.0,
-        delta_source=None,
+        position_source=None,
     ) -> None:
         if radio_range <= 0:
             raise TopologyError(f"radio_range must be positive, got {radio_range!r}")
@@ -705,170 +453,69 @@ class TopologyService:
         self._clock = clock
         self._node_states = node_states
         # Optional SoA position ledger (repro.net.soa.SoAPositionLedger):
-        # when set, refreshes pull (positions, changed) straight from its
-        # arrays instead of iterating node_states and diffing per node.
-        self._delta_source = delta_source
+        # when set, refreshes take the online positions straight from its
+        # arrays instead of iterating node_states.
+        self._position_source = position_source
         self.radio_range = float(radio_range)
         self.quantum = float(quantum)
         self._cached: Optional[TopologySnapshot] = None
         self._cached_bucket: Optional[int] = None
-        self._dirty = False
-        # Registration-rank map reused across delta patches while the
-        # online membership is stable (invariant: non-None only when its
-        # keys equal the cached snapshot's).  Ranks depend solely on
-        # registry order, so consecutive pause-heavy refreshes skip the
-        # O(N) rebuild.
-        self._order: Optional[Dict[int, int]] = None
-        self.incremental = True
-        self.verify_retention = False
         # Fault-injected edge suppression (network partitions).  Callers
-        # that change this must call invalidate() in the same instant —
-        # the fast reuse path only checks filter *identity*, so assign a
-        # stable callable (the injector keeps one bound method around).
+        # that change this must call invalidate() in the same instant, or
+        # the cached snapshot keeps the old filter until the next bucket.
         self.edge_filter: Optional[
             Callable[[int, int, Point, Point], bool]
         ] = None
         self.snapshots_built = 0
         self.invalidations = 0
-        self.snapshots_reused = 0
-        self.incremental_updates = 0
-        self.bfs_trees_retained = 0
 
     def current(self) -> TopologySnapshot:
         """Return the snapshot for the current time bucket."""
         now = self._clock()
         bucket = int(math.floor(now / self.quantum))
-        cached = self._cached
-        if cached is not None and bucket == self._cached_bucket and not self._dirty:
-            return cached
-        if self._delta_source is not None:
-            return self._refresh_from_ledger(now, bucket, cached)
-        positions = {
-            node_id: position
-            for node_id, position, online in self._node_states()
-            if online
-        }
-        self._cached_bucket = bucket
-        self._dirty = False
-        if (
-            cached is not None
-            and self.incremental
-            and cached._edge_filter is self.edge_filter
-        ):
-            old = cached.positions
-            # The network's position ledger hands back the same Point
-            # object while a node's validity window covers the refresh, so
-            # the common unmoved case short-circuits on identity.
-            changed = [
-                node
-                for node, pos in positions.items()
-                if (prev_pos := old.get(node)) is None
-                or (pos is not prev_pos and pos != prev_pos)
-            ]
-            if len(old) != len(positions) or changed:
-                changed.extend(node for node in old if node not in positions)
-            if not changed:
-                self.snapshots_reused += 1
-                return cached
-            limit = max(self.delta_floor, int(len(positions) * self.delta_fraction))
-            # Delta patching is unfiltered-only: a filtered base snapshot
-            # has edges physically missing that the patch math would need.
-            if len(changed) <= limit and self.edge_filter is None:
-                order = self._order
-                if order is None or old.keys() != positions.keys():
-                    order = self._order = {
-                        node: rank for rank, node in enumerate(positions)
-                    }
-                snap = TopologySnapshot.from_delta(
-                    cached, positions, changed, self.verify_retention, order
-                )
-                self.incremental_updates += 1
-                self.bfs_trees_retained += len(snap._bfs_cache)
-                self._cached = snap
-                return snap
+        if self._cached is not None and bucket == self._cached_bucket:
+            return self._cached
+        if self._position_source is not None:
+            positions = self._position_source.refresh(now)
+        else:
+            positions = {
+                node_id: position
+                for node_id, position, online in self._node_states()
+                if online
+            }
         self._cached = TopologySnapshot(
             positions, self.radio_range, edge_filter=self.edge_filter
         )
-        self.snapshots_built += 1
-        self._order = None
-        return self._cached
-
-    def _refresh_from_ledger(
-        self, now: float, bucket: int, cached: Optional[TopologySnapshot]
-    ) -> TopologySnapshot:
-        """Refresh via the SoA position ledger.
-
-        Mirrors the scalar decision tree of :meth:`current` exactly —
-        reuse on an empty delta, patch on a small one, rebuild otherwise
-        — with the change detection done once in the ledger's arrays
-        instead of per node here.
-        """
-        positions, changed = self._delta_source.refresh(now)
         self._cached_bucket = bucket
-        self._dirty = False
-        if (
-            cached is not None
-            and self.incremental
-            and cached._edge_filter is self.edge_filter
-        ):
-            if not changed:
-                self.snapshots_reused += 1
-                return cached
-            limit = max(self.delta_floor, int(len(positions) * self.delta_fraction))
-            if len(changed) <= limit and self.edge_filter is None:
-                order = self._order
-                if order is None or cached.positions.keys() != positions.keys():
-                    order = self._order = {
-                        node: rank for rank, node in enumerate(positions)
-                    }
-                # The ledger never mutates a handed-out dict (it copies on
-                # change), so the snapshot may hold ``positions`` directly.
-                snap = TopologySnapshot.from_delta(
-                    cached, positions, changed, self.verify_retention, order
-                )
-                self.incremental_updates += 1
-                self.bfs_trees_retained += len(snap._bfs_cache)
-                self._cached = snap
-                return snap
-        if isinstance(positions, soa.ArrayPositions):
-            position_arrays = positions.arrays()
-        else:
-            position_arrays = self._delta_source.online_arrays()
-        self._cached = TopologySnapshot(
-            positions,
-            self.radio_range,
-            edge_filter=self.edge_filter,
-            position_arrays=position_arrays,
-        )
         self.snapshots_built += 1
-        self._order = None
         return self._cached
 
     def note_churn(self, node_id: int) -> None:
         """Record that ``node_id`` flipped online/offline.
 
-        Marks the cached snapshot stale so the next :meth:`current` call
-        re-diffs node state even inside the current quantum, but keeps the
-        snapshot itself as the base for a delta patch — unlike
-        :meth:`invalidate`, which forces a from-scratch rebuild.
+        Drops the cached snapshot so the next :meth:`current` call
+        rebuilds even inside the current quantum — otherwise traffic for
+        the rest of the quantum could route through a node that just
+        went offline.
         """
-        self._dirty = True
-        self.invalidations += 1
+        self.invalidate()
 
     def invalidate(self) -> None:
         """Drop the cached snapshot entirely (next refresh rebuilds)."""
         self._cached = None
         self._cached_bucket = None
-        self._dirty = False
-        self._order = None
         self.invalidations += 1
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for result reporting (CLI footer, benchmarks)."""
+        """Counter snapshot for result reporting (CLI footer, benchmarks).
+
+        ``snapshots_reused`` and ``incremental_updates`` are always 0
+        (every refresh builds); they stay because result readers such as
+        the perfbench traced run index them.
+        """
         return {
             "snapshots_built": self.snapshots_built,
-            "snapshots_reused": self.snapshots_reused,
-            "incremental_updates": self.incremental_updates,
-            "bfs_trees_retained": self.bfs_trees_retained,
+            "snapshots_reused": 0,
+            "incremental_updates": 0,
             "invalidations": self.invalidations,
         }

@@ -6,8 +6,13 @@ from collections import deque
 import pytest
 
 from repro.errors import TopologyError
-from repro.mobility.terrain import Point
+from repro.mobility.terrain import Point, Terrain
+from repro.mobility.waypoint import RandomWaypoint
+from repro.net import soa
+from repro.net.network import Network
+from repro.net.node import NetworkNode
 from repro.net.topology import TopologySnapshot, TopologyService
+from repro.sim.engine import Simulator
 
 
 def snapshot_of(coords, radio_range=150.0):
@@ -292,17 +297,6 @@ class TestTopologyService:
         assert service.current() is first
         assert service.snapshots_built == 1
 
-    def test_unmoved_snapshot_reused_after_quantum(self):
-        # The same Point objects are served each refresh, so the new bucket
-        # diffs to an empty delta and hands back the previous snapshot.
-        states = [(0, Point(0, 0), True)]
-        service, clock = self.make_service(states)
-        first = service.current()
-        clock["t"] = 1.5
-        assert service.current() is first
-        assert service.snapshots_built == 1
-        assert service.snapshots_reused == 1
-
     def test_moved_node_rebuilds_after_quantum(self):
         states = [(0, Point(0, 0), True), (1, Point(100, 0), True)]
         service, clock = self.make_service(states)
@@ -312,20 +306,29 @@ class TestTopologyService:
         second = service.current()
         assert second is not first
         assert second.neighbors(0) == [1]
-        # Two movers out of two nodes exceed the delta threshold only when
-        # the fraction does; with one mover the patch path is taken.
-        assert service.snapshots_built + service.incremental_updates == 2
+        assert service.snapshots_built == 2
 
-    def test_incremental_disabled_always_rebuilds(self):
+    def test_new_quantum_and_churn_always_rebuild(self):
+        # Nothing moves, yet every new bucket builds a fresh snapshot, and
+        # a churn notice rebuilds inside the bucket.
         states = [(0, Point(0, 0), True)]
         service, clock = self.make_service(states)
-        service.incremental = False
         first = service.current()
         clock["t"] = 1.5
         second = service.current()
         assert second is not first
         assert service.snapshots_built == 2
-        assert service.snapshots_reused == 0
+        service.note_churn(0)
+        third = service.current()
+        assert third is not second
+        assert service.snapshots_built == 3
+        assert service.current() is third
+        assert service.stats() == {
+            "snapshots_built": 3,
+            "snapshots_reused": 0,
+            "incremental_updates": 0,
+            "invalidations": 1,
+        }
 
     def test_note_churn_rediffs_within_quantum(self):
         states = [(0, Point(0, 0), True), (1, Point(100, 0), True)]
@@ -337,7 +340,7 @@ class TestTopologyService:
         second = service.current()
         assert second.nodes == {0}
         assert service.invalidations == 1
-        # The patched snapshot is cached: same bucket, no further churn.
+        # The rebuilt snapshot is cached: same bucket, no further churn.
         assert service.current() is second
 
     def test_invalidate_forces_rebuild(self):
@@ -353,3 +356,112 @@ class TestTopologyService:
             TopologyService(lambda: 0.0, lambda: [], radio_range=0.0)
         with pytest.raises(TopologyError):
             TopologyService(lambda: 0.0, lambda: [], radio_range=100.0, quantum=0.0)
+
+
+def assert_snapshots_equivalent(candidate, reference):
+    """Bit-level equivalence of everything routing and flooding observe."""
+    assert list(candidate.positions) == list(reference.positions)
+    assert candidate.positions == reference.positions
+    for node in reference.positions:
+        assert candidate.neighbors(node) == reference.neighbors(node), node
+    assert candidate._neighbor_sets == reference._neighbor_sets
+    assert candidate.edge_count() == reference.edge_count()
+    for source in reference.positions:
+        candidate_levels = candidate.bfs_levels(source)
+        reference_levels = reference.bfs_levels(source)
+        assert candidate_levels == reference_levels
+        assert list(candidate_levels) == list(reference_levels)
+    assert candidate.connected_components() == reference.connected_components()
+
+
+class _RoamingNode(NetworkNode):
+    """Network stand-in whose position comes from a real mobility model."""
+
+    def __init__(self, node_id, sim, model):
+        self._id = node_id
+        self._sim = sim
+        self._model = model
+        self._online = True
+
+    @property
+    def node_id(self):
+        return self._id
+
+    @property
+    def online(self):
+        return self._online
+
+    def set_online(self, flag):
+        if flag != self._online:
+            self._online = flag
+            self.notify_state_change()
+
+    def current_position(self):
+        return self._model.position(self._sim.now)
+
+    def position_valid_until(self):
+        return self._model.position_valid_until(self._sim.now)
+
+    def deliver(self, message):
+        return None
+
+
+class TestThroughNetwork:
+    """End-to-end: position ledger + validity windows + churn notices."""
+
+    RANGE = 150.0
+
+    def drive(self, seed):
+        rng = random.Random(seed)
+        terrain = Terrain(900.0, 900.0)
+        sim = Simulator()
+        net = Network(sim, radio_range=self.RANGE)
+        nodes = [
+            _RoamingNode(
+                i,
+                sim,
+                # Pause-heavy: legs take ~30 s, pauses 120 s, so most
+                # ticks serve parked nodes from their validity windows.
+                RandomWaypoint(
+                    terrain,
+                    random.Random(seed * 1000 + i),
+                    speed_min=10.0,
+                    speed_max=20.0,
+                    pause_time=120.0,
+                ),
+            )
+            for i in range(20)
+        ]
+        for node in nodes:
+            net.register(node)
+        for tick in range(1, 240):
+            sim.run_until(float(tick))
+            if rng.random() < 0.1:
+                nodes[rng.randrange(len(nodes))].set_online(False)
+            if rng.random() < 0.1:
+                nodes[rng.randrange(len(nodes))].set_online(True)
+            snapshot = net.snapshot()
+            reference = TopologySnapshot(
+                {
+                    node.node_id: node.current_position()
+                    for node in nodes
+                    if node.online
+                },
+                self.RANGE,
+            )
+            assert_snapshots_equivalent(snapshot, reference)
+        return net
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_network_snapshots_match_fresh_builds(self, seed, monkeypatch):
+        # Both cores; the vectorized arm drops the CSR floor so the
+        # 20-node snapshots take the array build too.
+        for core, flag in (("scalar", "0"), ("vectorized", "1")):
+            if flag == "1":
+                if not soa.HAVE_NUMPY:
+                    continue
+                monkeypatch.setattr(soa, "BUILD_MIN_NODES", 0)
+            monkeypatch.setenv("REPRO_SOA", flag)
+            net = self.drive(seed)
+            assert net.core == core
+            assert net.topology.stats()["snapshots_built"] >= 239
