@@ -27,8 +27,9 @@ result-cache key.
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.cache.item import CachedCopy
 from repro.errors import CacheError
@@ -234,6 +235,13 @@ class LRUKPolicy(CachePolicy):
         return min(copies.values(), key=backward_k).item_id
 
 
+@functools.lru_cache(maxsize=None)
+def _accepted_parameters(factory: Callable[..., CachePolicy]) -> FrozenSet[str]:
+    # Parsed once per factory: world builds call make_policy once per
+    # peer, and signature() re-parses the constructor every time.
+    return frozenset(inspect.signature(factory).parameters)
+
+
 def make_policy(name: str, **context) -> CachePolicy:
     """Instantiate a registered replacement policy by name.
 
@@ -251,6 +259,6 @@ def make_policy(name: str, **context) -> CachePolicy:
         raise CacheError(
             f"unknown replacement policy {name!r}; choose from {POLICIES.names()}"
         ) from None
-    accepted = inspect.signature(factory).parameters
+    accepted = _accepted_parameters(factory)
     kwargs = {key: value for key, value in context.items() if key in accepted}
     return factory(**kwargs)

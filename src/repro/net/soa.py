@@ -3,12 +3,16 @@
 This module holds every numpy-accelerated kernel the network layer can
 substitute for its pure-Python inner loops:
 
-* :func:`build_adjacency` — the spatial-hash adjacency build of
-  :class:`~repro.net.topology.TopologySnapshot`, with cell keys computed by
-  integer floor-divide and candidate-pair distance checks as array ops.
-* :func:`bfs_from_csr` — the level-synchronous BFS over a compressed
-  sparse-row view of the snapshot, reproducing the scalar traversal's
-  discovery order (and therefore parents, items and depth prefix) exactly.
+* :func:`build_masks` — the adjacency of a *small* snapshot (fewer than
+  :data:`BUILD_MIN_NODES` nodes) as one Python ``int`` bitmask per
+  registration rank, from one dense pass over the positions.
+* :func:`build_csr` — the spatial-hash adjacency build of a large
+  :class:`~repro.net.topology.TopologySnapshot` as a compressed sparse
+  row, with cell keys computed by integer floor-divide and candidate-pair
+  distance checks as array ops.
+* :func:`bfs_from_csr` — the level-synchronous BFS over that CSR,
+  reproducing the scalar traversal's discovery order (and therefore
+  parents and depth prefix) exactly.
 * :class:`SoAPositionLedger` — node positions, online flags and
   position-validity deadlines in contiguous arrays, with bulk mobility
   kernels (:mod:`repro.mobility.bulk`) evaluating whole populations per
@@ -39,6 +43,7 @@ __all__ = [
     "soa_enabled",
     "ArrayPositions",
     "CsrAdjacency",
+    "build_masks",
     "build_csr",
     "adjacency_from_csr",
     "bfs_from_csr",
@@ -53,8 +58,13 @@ except ImportError:  # pragma: no cover - depends on the install
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-#: Below this population the scalar build wins (numpy call overhead
-#: dominates); the property tests drop it to 0 to cover tiny graphs.
+#: Snapshots with fewer online nodes store their adjacency as per-rank
+#: bitmasks (:func:`build_masks`, or the scalar spatial-hash loop); at or
+#: above it they build a CSR (numpy) or a dict of lists (no numpy).  A
+#: build plus four routing queries at paper density measured the
+#: bitmask-vs-CSR crossover near 128 nodes, so 64 stays on the bitmask
+#: side of it.  The property tests drop it to 0 to push tiny graphs
+#: through the CSR.
 BUILD_MIN_NODES = 64
 
 
@@ -71,8 +81,67 @@ def soa_enabled() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Vectorized adjacency build
+# Vectorized adjacency builds
 # ----------------------------------------------------------------------
+def build_masks(
+    positions: Mapping, radio_range: float
+) -> Tuple[List[int], List[int]]:
+    """Per-rank neighbour bitmasks of a small snapshot, in one dense pass.
+
+    Returns ``(ids, masks)``: ``ids[r]`` is the node at registration rank
+    ``r`` and bit ``b`` of ``masks[r]`` is set when ranks ``r`` and ``b``
+    are neighbours.  The relation is the scalar spatial-hash build's,
+    bit for bit: squared distances are formed in the same operation
+    order (``(a - b)**2 == (b - a)**2`` exactly in IEEE-754), and pairs
+    two or more grid cells apart — which the spatial hash never
+    compares — are dropped.  An :class:`ArrayPositions` input is read
+    from its backing arrays without materialising any ``Point``.
+    """
+    n = len(positions)
+    if isinstance(positions, ArrayPositions):
+        ids_arr, xs, ys = positions.arrays()
+        ids = ids_arr.tolist()
+    else:
+        ids = list(positions)
+        xs = np.fromiter((p.x for p in positions.values()), dtype=np.float64, count=n)
+        ys = np.fromiter((p.y for p in positions.values()), dtype=np.float64, count=n)
+    words = (n + 63) // 64
+    limit_sq = radio_range * radio_range
+    d2 = np.subtract.outer(xs, xs)
+    d2 *= d2
+    dy = np.subtract.outer(ys, ys)
+    dy *= dy
+    d2 += dy
+    # Rows padded to whole 64-bit words, so that one little-endian view
+    # turns each packed row into its mask.
+    padded = np.zeros((n, 64 * words), dtype=bool)
+    near = padded[:, :n]
+    np.less_equal(d2, limit_sq, out=near)
+    np.fill_diagonal(near, False)
+    if n:
+        cell = radio_range if radio_range > 0 else 1.0
+        exact = radio_range <= 0
+        if not exact:
+            # With cell == radio range, a pair two cells apart on an axis
+            # is more than one cell apart before rounding, so its d2 can
+            # only pass the test within a few ulps (scaled by coordinate
+            # magnitude over the cell) below the limit.  Only a pair in
+            # that sliver needs the exact cell comparison.
+            scale = max(float(np.abs(xs).max()), float(np.abs(ys).max())) / cell
+            sliver = limit_sq * (1.0 - (8.0 * scale + 16.0) * 2.0 ** -53)
+            exact = bool((near & (d2 > sliver)).any())
+        if exact:
+            for coord in (xs, ys):
+                grid = np.floor(coord / cell)
+                near &= np.abs(np.subtract.outer(grid, grid)) <= 1.0
+    rows = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    if words == 1:
+        masks = rows.ravel().tolist()
+    else:
+        masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return ids, masks
+
+
 def _ragged_take(starts: "np.ndarray", counts: "np.ndarray") -> "np.ndarray":
     """Indices of the concatenation of ``arange(s, s+c)`` per (s, c) pair."""
     total = int(counts.sum())
@@ -295,11 +364,11 @@ def adjacency_from_csr(csr: CsrAdjacency) -> Dict[int, List[int]]:
 # ----------------------------------------------------------------------
 def bfs_from_csr(
     csr: CsrAdjacency, source: int, max_depth: Optional[int] = None
-) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
     """BFS tree from ``source`` over a CSR adjacency.
 
-    Returns the same ``(levels, parents, items, prefix)`` quadruple as the
-    scalar ``TopologySnapshot._bfs_from`` — including discovery order and
+    Returns the same ``(levels, parents, prefix)`` triple as the scalar
+    ``TopologySnapshot._bfs_from`` — including discovery order and
     parent choice: within each depth the scalar loop scans the frontier in
     order and each frontier node's neighbours in rank order, keeping the
     first discovery; taking the first occurrence over the concatenated
@@ -348,8 +417,7 @@ def bfs_from_csr(
     depths = np.repeat(np.arange(len(sizes)), sizes).tolist()
     levels = dict(zip(node_ids, depths))
     parents = dict(zip(node_ids, parent_ids))
-    items = list(zip(node_ids, depths))
-    return levels, parents, items, prefix
+    return levels, parents, prefix
 
 
 # ----------------------------------------------------------------------
@@ -360,11 +428,11 @@ class ArrayPositions(Mapping):
 
     The ledger hands one out on every refresh: the snapshot build that
     follows consumes the arrays directly, so the per-node ``Point`` dict
-    only materialises if something actually reads positions (tests, the
-    scalar build of small snapshots, edge filters).  Iteration order is
-    the slot (registration) order of the backing arrays, matching the
-    dict the scalar path builds; values are Python floats, so a
-    materialised entry is bit-identical to its scalar counterpart.
+    only materialises if something actually reads positions (tests, edge
+    filters).  Iteration order is the slot (registration) order of the
+    backing arrays, matching the dict the scalar path builds; values are
+    Python floats, so a materialised entry is bit-identical to its
+    scalar counterpart.
     """
 
     __slots__ = ("ids", "xs", "ys", "_dict", "_key_set")

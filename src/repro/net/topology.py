@@ -9,28 +9,42 @@ one graph.
 
 Fast paths
 ----------
-Snapshots sit in the inner loop of every experiment, so two optimisations
-keep them cheap without changing any observable result.  Each refresh —
-a new quantum, or a churn/invalidate notice inside one — builds a fresh
-snapshot; within a quantum the cached snapshot is reused.
+Snapshots sit in the inner loop of every experiment: each refresh — a
+new quantum, or a churn/invalidate notice inside one — builds a fresh
+snapshot, and within a quantum the cached snapshot is reused.  How the
+adjacency is stored depends on the snapshot's size, split by
+:data:`repro.net.soa.BUILD_MIN_NODES`; every regime yields the same
+neighbour lists, BFS orders and routes.
 
-* **Spatial-hash adjacency build.**  Nodes are bucketed into a uniform
-  grid with cell size equal to the radio range; only the 3x3 cell
-  neighbourhood can contain nodes within range, so the build is
-  O(N*k) for k nodes per neighbourhood instead of the naive O(N^2)
-  all-pairs scan.  Adjacency is stored both as ordered lists (BFS and
-  flood iteration order must stay deterministic) and as frozen sets for
-  an O(1) :meth:`TopologySnapshot.has_edge`.
-* **Per-source BFS memoisation.**  A snapshot is immutable, so one full
-  O(V+E) traversal per source serves every subsequent ``shortest_path``,
-  ``hop_distance``, ``bfs_levels``, flood and reachability query against
-  that snapshot.  Traffic bursts within a topology quantum therefore pay
-  for BFS once and do dict lookups afterwards.
+* **Rank bitmasks (fewer than ``BUILD_MIN_NODES`` nodes).**  One Python
+  ``int`` per registration rank, bit ``b`` set for each neighbour rank
+  ``b``.  The vectorized core fills them in one dense numpy pass over the
+  position ledger's arrays; otherwise the spatial-hash loop below sets
+  bits.  BFS, :meth:`TopologySnapshot.has_edge` and
+  :meth:`TopologySnapshot.edge_count` run on the masks; ascending bit
+  order *is* registration-rank order, so no neighbour list is ever
+  sorted.  This is the paper's 50-peer regime.
+* **CSR (large, numpy).**  A compressed sparse row built by the
+  vectorized spatial grid (:func:`repro.net.soa.build_csr`).
+* **Dict of lists (large, no numpy or ``REPRO_SOA=0``).**  Nodes are
+  bucketed into a uniform grid with cell size equal to the radio range;
+  only the 3x3 cell neighbourhood can contain nodes within range, so
+  the build is O(N*k) for k nodes per neighbourhood instead of the
+  naive O(N^2) all-pairs scan.
+
+The dict-of-lists view and the frozen neighbour sets of the first two
+regimes, and the sets of the third, materialise only on demand.
+
+**Per-source BFS memoisation.**  A snapshot is immutable, so one full
+O(V+E) traversal per source serves every subsequent ``shortest_path``,
+``hop_distance``, ``bfs_levels``, flood and reachability query against
+that snapshot.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
@@ -45,6 +59,12 @@ __all__ = ["TopologySnapshot", "TopologyService"]
 # materialising the adjacency from the CSR on a large snapshot that will
 # likely see a single routing query before the next rebuild.
 _FULL_BFS_CSR_MIN = 4096
+
+# One BFS result: (levels, parents, prefix).  ``levels`` maps node ->
+# depth in discovery order (nondecreasing depth) and ``prefix[d]``
+# counts the nodes at depth <= d, so a depth-limited query is a slice
+# of ``levels.items()``.
+BfsTree = Tuple[Dict[int, int], Dict[int, int], List[int]]
 
 
 class TopologySnapshot:
@@ -81,54 +101,57 @@ class TopologySnapshot:
             self.positions = dict(positions)
         self.radio_range = float(radio_range)
         self._edge_filter = edge_filter
-        # source -> (levels, parents, items, prefix) of one full BFS, filled
-        # lazily: items is levels as a list and prefix[d] counts nodes at
-        # depth <= d, so depth-limited queries are a single list slice.
-        self._bfs_cache: Dict[
-            int,
-            Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]],
-        ] = {}
-        # source -> ((levels, parents, items, prefix), complete) of a
+        # source -> (levels, parents, prefix) of one full BFS, filled lazily.
+        self._bfs_cache: Dict[int, BfsTree] = {}
+        # source -> ((levels, parents, prefix), complete) of a
         # depth-bounded vectorized BFS; levels <= the bound are identical
         # to the full traversal's, so TTL floods reuse them without ever
         # walking the whole graph.
-        self._bfs_partial: Dict[int, Tuple[tuple, bool]] = {}
-        # Compressed sparse-row view of the adjacency (vectorized builds
-        # only); BFS traverses it in array ops instead of the dict lists.
+        self._bfs_partial: Dict[int, Tuple[BfsTree, bool]] = {}
+        # Exactly one adjacency representation is built eagerly: rank
+        # bitmasks (small snapshots), a CSR (large, vectorized) or the
+        # dict of lists (large, scalar).  The dict view and the frozen
+        # neighbour sets materialise from it on first touch.
+        self._masks: Optional[List[int]] = None
         self._csr = None
-        if (
-            soa.HAVE_NUMPY
-            and len(self.positions) >= soa.BUILD_MIN_NODES
-            and soa.soa_enabled()
-        ):
+        self._adjacency_store: Optional[Dict[int, List[int]]] = None
+        self._sets_store: Optional[Dict[int, frozenset]] = None
+        # Membership table of the queries: the id -> rank dict of a mask
+        # snapshot (a plain dict even over ArrayPositions), else positions.
+        self._members = self.positions
+        count = len(self.positions)
+        if count < soa.BUILD_MIN_NODES:
+            if soa.soa_enabled():
+                ids, self._masks = soa.build_masks(self.positions, self.radio_range)
+            else:
+                ids, self._masks = self._build_masks()
+            self._ids = ids
+            self._members = dict(zip(ids, range(count)))
+        elif soa.HAVE_NUMPY and soa.soa_enabled():
             self._csr = soa.build_csr(self.positions, self.radio_range)
-        if self._csr is not None:
-            # The dict-of-lists adjacency and the frozen neighbour sets
-            # materialise lazily: a snapshot that only sees array BFS
-            # never needs either, and has_edge builds the sets on first
-            # touch.
-            self._adjacency = None
-            self._neighbor_sets = None
-        else:
-            self._adjacency = {node: [] for node in self.positions}
+        if self._masks is None and self._csr is None:
+            self._adjacency_store = {node: [] for node in self.positions}
             self._build_adjacency()
         if edge_filter is not None:
             self._apply_edge_filter()
-            self._csr = None  # filtered lists no longer match the CSR view
 
     # ------------------------------------------------------------------
-    # Lazy companions of the adjacency (vectorized builds defer them)
+    # Lazy companions of the adjacency
     # ------------------------------------------------------------------
     @property
     def _adjacency(self) -> Dict[int, List[int]]:
         adjacency = self._adjacency_store
         if adjacency is None:
-            adjacency = self._adjacency_store = soa.adjacency_from_csr(self._csr)
+            if self._masks is not None:
+                ids = self._ids
+                adjacency = {
+                    node: [ids[rank] for rank in _bits(mask)]
+                    for node, mask in zip(ids, self._masks)
+                }
+            else:
+                adjacency = soa.adjacency_from_csr(self._csr)
+            self._adjacency_store = adjacency
         return adjacency
-
-    @_adjacency.setter
-    def _adjacency(self, value) -> None:
-        self._adjacency_store = value
 
     @property
     def _neighbor_sets(self) -> Dict[int, frozenset]:
@@ -139,10 +162,6 @@ class TopologySnapshot:
                 for node, neighbors in self._adjacency.items()
             }
         return sets
-
-    @_neighbor_sets.setter
-    def _neighbor_sets(self, value) -> None:
-        self._sets_store = value
 
     def _apply_edge_filter(self) -> None:
         """Drop edges the filter rejects (fault-injected partitions).
@@ -156,8 +175,19 @@ class TopologySnapshot:
         """
         allowed = self._edge_filter
         positions = self.positions
+        masks = self._masks
+        if masks is not None:
+            ids = self._ids
+            for rank, mask in enumerate(masks):
+                node = ids[rank]
+                pos = positions[node]
+                for other in _bits(mask):
+                    node_b = ids[other]
+                    if not allowed(node, node_b, pos, positions[node_b]):
+                        masks[rank] ^= 1 << other
+            return
         adjacency = self._adjacency
-        neighbor_sets = self._neighbor_sets
+        self._csr = None  # filtered lists no longer match the CSR view
         for node, neighbors in adjacency.items():
             pos = positions[node]
             kept = [
@@ -167,7 +197,45 @@ class TopologySnapshot:
             ]
             if len(kept) != len(neighbors):
                 adjacency[node] = kept
-                neighbor_sets[node] = frozenset(kept)
+
+    def _build_masks(self) -> Tuple[List[int], List[int]]:
+        """Scalar spatial-hash build of the rank bitmasks.
+
+        The same grid and pair coverage as :meth:`_build_adjacency`, but
+        setting bits instead of appending: bit order is rank order, so
+        nothing needs sorting afterwards.
+        """
+        cell = self.radio_range if self.radio_range > 0 else 1.0
+        limit_sq = self.radio_range * self.radio_range
+        grid: Dict[Tuple[int, int], List[Tuple[int, int, float, float]]] = {}
+        ids: List[int] = []
+        for rank, (node, pos) in enumerate(self.positions.items()):
+            ids.append(node)
+            x, y = pos.x, pos.y
+            key = (math.floor(x / cell), math.floor(y / cell))
+            grid.setdefault(key, []).append((rank, 1 << rank, x, y))
+        masks = [0] * len(ids)
+        half = ((1, 0), (0, 1), (1, 1), (-1, 1))
+        for (cx, cy), members in grid.items():
+            for index, (rank_a, bit_a, xa, ya) in enumerate(members):
+                for rank_b, bit_b, xb, yb in members[index + 1:]:
+                    dx = xa - xb
+                    dy = ya - yb
+                    if dx * dx + dy * dy <= limit_sq:
+                        masks[rank_a] |= bit_b
+                        masks[rank_b] |= bit_a
+            for ox, oy in half:
+                other = grid.get((cx + ox, cy + oy))
+                if other is None:
+                    continue
+                for rank_a, bit_a, xa, ya in members:
+                    for rank_b, bit_b, xb, yb in other:
+                        dx = xa - xb
+                        dy = ya - yb
+                        if dx * dx + dy * dy <= limit_sq:
+                            masks[rank_a] |= bit_b
+                            masks[rank_b] |= bit_a
+        return ids, masks
 
     def _build_adjacency(self) -> None:
         # Uniform spatial hash: with cell size == radio range, any node
@@ -177,7 +245,7 @@ class TopologySnapshot:
         for node, pos in self.positions.items():
             key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
             grid.setdefault(key, []).append((node, pos))
-        adjacency = self._adjacency
+        adjacency = self._adjacency_store
         limit_sq = self.radio_range * self.radio_range
         # Half-neighbourhood offsets: each unordered cell pair is visited
         # exactly once; same-cell pairs are handled by the i<j inner loop.
@@ -207,9 +275,6 @@ class TopologySnapshot:
         order = {node: rank for rank, node in enumerate(self.positions)}
         for neighbors in adjacency.values():
             neighbors.sort(key=order.__getitem__)
-        self._neighbor_sets = {
-            node: frozenset(neighbors) for node, neighbors in adjacency.items()
-        }
 
     # ------------------------------------------------------------------
     # Queries
@@ -219,12 +284,12 @@ class TopologySnapshot:
         # built from a generic iterable, and the internal table layout
         # leaks through iteration order once elements are discarded
         # (connected_components' seed picking, for one).  Route every
-        # positions mapping through a dict so array-backed and plain-dict
+        # membership table through a dict so array-backed and plain-dict
         # snapshots produce byte-identical set behaviour.
-        positions = self.positions
-        if type(positions) is not dict:
-            positions = dict.fromkeys(positions)
-        return set(positions)
+        members = self._members
+        if type(members) is not dict:
+            members = dict.fromkeys(members)
+        return set(members)
 
     @property
     def nodes(self) -> Set[int]:
@@ -232,7 +297,7 @@ class TopologySnapshot:
         return self._key_set()
 
     def __contains__(self, node: int) -> bool:
-        return node in self.positions
+        return node in self._members
 
     def neighbors(self, node: int) -> List[int]:
         """Online one-hop neighbours of ``node``."""
@@ -248,6 +313,14 @@ class TopologySnapshot:
         not online in this snapshot, so route-liveness scans need no
         separate membership pass.
         """
+        masks = self._masks
+        if masks is not None:
+            rank = self._members
+            rank_a = rank.get(node_a)
+            rank_b = rank.get(node_b)
+            if rank_a is None or rank_b is None:
+                return False
+            return (masks[rank_a] >> rank_b) & 1 == 1
         sets = self._sets_store
         if sets is None:
             sets = self._neighbor_sets  # materialise once, then hit the store
@@ -258,54 +331,88 @@ class TopologySnapshot:
         """Number of one-hop neighbours of ``node``."""
         return len(self.neighbors(node))
 
-    def _bfs_from(
-        self, source: int
-    ) -> Tuple[Dict[int, int], Dict[int, int], List[Tuple[int, int]], List[int]]:
+    def _bfs_from(self, source: int) -> BfsTree:
         """Full BFS tree from ``source``, computed once per snapshot."""
         cached = self._bfs_cache.get(source)
         if cached is not None:
             return cached
-        # Both traversals produce the same quadruple bit-for-bit (the CSR
-        # preserves registration-rank neighbour order), so the choice is
-        # purely a speed call: the dict BFS is faster per source, but on a
-        # big vectorized snapshot whose adjacency was never materialised
-        # the array traversal avoids paying adjacency_from_csr for what is
-        # typically a single routing query.
-        if (
+        if self._masks is not None:
+            cached = self._bfs_masks(source)
+        # The CSR and dict traversals produce the same triple bit-for-bit
+        # (the CSR preserves registration-rank neighbour order), so the
+        # choice is purely a speed call: the dict BFS is faster per
+        # source, but on a big vectorized snapshot whose adjacency was
+        # never materialised the array traversal avoids paying
+        # adjacency_from_csr for what is typically a single routing query.
+        elif (
             self._csr is not None
             and self._adjacency_store is None
             and len(self.positions) >= _FULL_BFS_CSR_MIN
         ):
             cached = soa.bfs_from_csr(self._csr, source)
-            self._bfs_cache[source] = cached
-            return cached
+        else:
+            cached = self._bfs_lists(source)
+        self._bfs_cache[source] = cached
+        return cached
+
+    def _bfs_masks(self, source: int) -> BfsTree:
+        # Level-synchronous BFS over the rank bitmasks.  A frontier node's
+        # undiscovered neighbours are ``mask & unseen``, visited in
+        # ascending rank order — exactly the dict traversal's order.
+        ids = self._ids
+        masks = self._masks
+        start = self._members[source]
+        levels: Dict[int, int] = {source: 0}
+        parents: Dict[int, int] = {source: source}
+        unseen = ((1 << len(ids)) - 1) ^ (1 << start)
+        frontier = [start]
+        prefix = [1]
+        depth = 0
+        while True:
+            depth += 1
+            next_frontier: List[int] = []
+            append = next_frontier.append
+            for current in frontier:
+                fresh = masks[current] & unseen
+                if fresh:
+                    unseen ^= fresh
+                    parent = ids[current]
+                    while fresh:
+                        low = fresh & -fresh
+                        rank = low.bit_length() - 1
+                        node = ids[rank]
+                        levels[node] = depth
+                        parents[node] = parent
+                        append(rank)
+                        fresh ^= low
+            if not next_frontier:
+                return levels, parents, prefix
+            prefix.append(prefix[-1] + len(next_frontier))
+            frontier = next_frontier
+
+    def _bfs_lists(self, source: int) -> BfsTree:
         # Level-synchronous BFS: same discovery order as a FIFO queue, but
         # without per-node deque and depth-lookup overhead.
         levels: Dict[int, int] = {source: 0}
         parents: Dict[int, int] = {source: source}
         adjacency = self._adjacency
         frontier = [source]
+        prefix = [1]
         depth = 0
-        while frontier:
+        while True:
             depth += 1
             next_frontier: List[int] = []
+            append = next_frontier.append
             for current in frontier:
                 for neighbor in adjacency[current]:
                     if neighbor not in levels:
                         levels[neighbor] = depth
                         parents[neighbor] = current
-                        next_frontier.append(neighbor)
+                        append(neighbor)
+            if not next_frontier:
+                return levels, parents, prefix
+            prefix.append(prefix[-1] + len(next_frontier))
             frontier = next_frontier
-        items = list(levels.items())
-        # items is in nondecreasing-depth order; prefix[d] = |{depth <= d}|.
-        prefix: List[int] = []
-        for index, (_, depth) in enumerate(items):
-            while len(prefix) <= depth:
-                prefix.append(index)
-            prefix[depth] = index + 1
-        cached = (levels, parents, items, prefix)
-        self._bfs_cache[source] = cached
-        return cached
 
     @property
     def bfs_cache_size(self) -> int:
@@ -318,13 +425,14 @@ class TopologySnapshot:
         Returns ``None`` when the nodes are partitioned, ``[source]`` when
         ``source == target``.
         """
-        if source not in self.positions:
+        members = self._members
+        if source not in members:
             raise TopologyError(f"source node {source!r} is not online")
-        if target not in self.positions:
+        if target not in members:
             return None
         if source == target:
             return [source]
-        levels, parents, _, _ = self._bfs_from(source)
+        levels, parents, _ = self._bfs_from(source)
         if target not in levels:
             return None
         return self._walk_back(parents, source, target)
@@ -341,11 +449,12 @@ class TopologySnapshot:
 
     def hop_distance(self, source: int, target: int) -> Optional[int]:
         """Number of hops on a shortest path, or ``None`` if unreachable."""
-        if source not in self.positions:
+        members = self._members
+        if source not in members:
             raise TopologyError(f"source node {source!r} is not online")
-        if target not in self.positions:
+        if target not in members:
             return None
-        levels, _, _, _ = self._bfs_from(source)
+        levels, _, _ = self._bfs_from(source)
         return levels.get(target)
 
     def bfs_levels(self, source: int, max_depth: Optional[int] = None) -> Dict[int, int]:
@@ -356,12 +465,13 @@ class TopologySnapshot:
         dict preserves BFS discovery order and is a fresh copy the caller
         may mutate.
         """
-        if source not in self.positions:
+        if source not in self._members:
             raise TopologyError(f"source node {source!r} is not online")
+        if max_depth is not None and max_depth < 0:
+            max_depth = 0
         if (
             self._csr is not None
             and max_depth is not None
-            and max_depth >= 0
             and source not in self._bfs_cache
         ):
             # Depth-bounded vectorized BFS: a TTL flood only needs the
@@ -370,22 +480,18 @@ class TopologySnapshot:
             # ``complete`` marks traversals that exhausted the component
             # before the bound and therefore cover any depth.
             entry = self._bfs_partial.get(source)
-            if entry is None or not (entry[1] or len(entry[0][3]) - 1 >= max_depth):
-                quad = soa.bfs_from_csr(self._csr, source, max_depth)
-                entry = (quad, len(quad[3]) - 1 < max_depth)
+            if entry is None or not (entry[1] or len(entry[0][2]) - 1 >= max_depth):
+                tree = soa.bfs_from_csr(self._csr, source, max_depth)
+                entry = (tree, len(tree[2]) - 1 < max_depth)
                 self._bfs_partial[source] = entry
-            levels, _, items, prefix = entry[0]
-            if max_depth >= len(prefix) - 1:
-                return dict(levels)
-            return dict(items[: prefix[max_depth]])
-        levels, _, items, prefix = self._bfs_from(source)
-        # items is in BFS discovery order, i.e. nondecreasing depth, so the
-        # depth limit selects a precomputed prefix of the traversal.
+            levels, _, prefix = entry[0]
+        else:
+            levels, _, prefix = self._bfs_from(source)
+        # levels is in BFS discovery order, i.e. nondecreasing depth, so
+        # the depth limit selects a precomputed prefix of the traversal.
         if max_depth is None or max_depth >= len(prefix) - 1:
             return dict(levels)
-        if max_depth < 0:
-            max_depth = 0
-        return dict(items[: prefix[max_depth]])
+        return dict(islice(levels.items(), prefix[max_depth]))
 
     def connected_components(self) -> List[Set[int]]:
         """Partition of the online nodes into connected components."""
@@ -406,9 +512,19 @@ class TopologySnapshot:
 
     def edge_count(self) -> int:
         """Number of undirected radio links in the snapshot."""
-        if self._adjacency_store is None and self._csr is not None:
+        if self._masks is not None:
+            return sum(mask.bit_count() for mask in self._masks) // 2
+        if self._adjacency_store is None:
             return self._csr.neighbors.shape[0] // 2
-        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
+        return sum(len(neighbors) for neighbors in self._adjacency_store.values()) // 2
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class TopologyService:

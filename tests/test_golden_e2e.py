@@ -140,9 +140,9 @@ def test_replay_is_bit_identical():
 def test_golden_digest_identical_on_both_cores(monkeypatch):
     """One golden cell rerun on each core must yield the committed digest.
 
-    ``BUILD_MIN_NODES`` drops to 0 on the vectorized arm so the 20-peer
-    golden population takes the array build path instead of the scalar
-    small-graph fallback.
+    ``BUILD_MIN_NODES`` drops to 0 so the 20-peer golden population
+    builds a CSR on the vectorized arm and the dict of lists on the
+    scalar arm, instead of the rank bitmasks the other golden tests run.
     """
     from repro.net import soa
 

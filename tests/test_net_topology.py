@@ -454,8 +454,9 @@ class TestThroughNetwork:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_network_snapshots_match_fresh_builds(self, seed, monkeypatch):
-        # Both cores; the vectorized arm drops the CSR floor so the
-        # 20-node snapshots take the array build too.
+        # Both cores: the scalar arm builds rank bitmasks, and the
+        # vectorized arm drops the CSR floor so the 20-node snapshots
+        # take the array build.
         for core, flag in (("scalar", "0"), ("vectorized", "1")):
             if flag == "1":
                 if not soa.HAVE_NUMPY:

@@ -7,6 +7,12 @@ and asserts that everything the network layer can observe is equal *and
 in the same order*: positions, neighbour lists, BFS levels and discovery
 order, depth-bounded floods, edge counts and connected components.
 
+Regimes: the vectorized arm always builds a CSR.  The scalar arm keeps
+the default floor, so it builds rank bitmasks below 64 nodes (every
+test here except the larger draws of the paper-density one) and the
+dict of lists from 64 up.  ``tests/test_topology_masks.py`` holds the
+bitmask regimes to the dict-of-lists oracle directly.
+
 The whole module skips cleanly when numpy (the ``perf`` extra) is not
 installed: in that configuration only the scalar core exists and there
 is nothing to compare.
@@ -95,6 +101,7 @@ def _assert_snapshots_identical(vec: TopologySnapshot, ref: TopologySnapshot):
     st.floats(min_value=10.0, max_value=800.0),
 )
 def test_vectorized_build_matches_scalar(points, radio_range):
+    # CSR against scalar rank bitmasks (at most 40 nodes).
     positions = {i: Point(x, y) for i, (x, y) in enumerate(points)}
     with _core(vectorized=False):
         ref = TopologySnapshot(dict(positions), radio_range)
@@ -108,6 +115,7 @@ def test_vectorized_build_matches_scalar(points, radio_range):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**20))
 def test_vectorized_build_matches_scalar_at_paper_density(seed):
+    # CSR against scalar rank bitmasks (< 64 nodes) or the dict of lists.
     rng = random.Random(seed)
     count = rng.randrange(1, 120)
     side = 1500.0 * (count / 50.0) ** 0.5
@@ -241,12 +249,18 @@ def _run_both(seed: int, count: int, families, toggles):
     ),
 )
 def test_pipeline_identical_under_movement_and_churn(seed, toggles):
-    """All mobility families at once, random churn, every quantum compared."""
+    """All mobility families at once, random churn, every quantum compared.
+
+    20 nodes: CSR (vectorized) against scalar rank bitmasks.
+    """
     _run_both(seed, count=20, families=FAMILIES, toggles=toggles)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bulk_mobility_kernels_match_scalar_models(family):
-    """Each kernel family alone: bulk sampling equals per-node sampling."""
+    """Each kernel family alone: bulk sampling equals per-node sampling.
+
+    16 nodes: CSR (vectorized) against scalar rank bitmasks.
+    """
     _run_both(seed=7, count=16, families=(family,), toggles=[None] * 20)
     _run_both(seed=23, count=16, families=(family,), toggles=[3, None, 9] * 5)
