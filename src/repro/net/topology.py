@@ -19,18 +19,19 @@ neighbour lists, BFS orders and routes.
 * **Rank bitmasks (fewer than ``BUILD_MIN_NODES`` nodes).**  One Python
   ``int`` per registration rank, bit ``b`` set for each neighbour rank
   ``b``.  The vectorized core fills them in one dense numpy pass over the
-  position ledger's arrays; otherwise the spatial-hash loop below sets
-  bits.  BFS, :meth:`TopologySnapshot.has_edge` and
+  position ledger's arrays; otherwise the scalar spatial-hash scan below
+  sets bits from its in-range pairs.  BFS,
+  :meth:`TopologySnapshot.has_edge` and
   :meth:`TopologySnapshot.edge_count` run on the masks; ascending bit
   order *is* registration-rank order, so no neighbour list is ever
   sorted.  This is the paper's 50-peer regime.
 * **CSR (large, numpy).**  A compressed sparse row built by the
   vectorized spatial grid (:func:`repro.net.soa.build_csr`).
-* **Dict of lists (large, no numpy or ``REPRO_SOA=0``).**  Nodes are
-  bucketed into a uniform grid with cell size equal to the radio range;
-  only the 3x3 cell neighbourhood can contain nodes within range, so
-  the build is O(N*k) for k nodes per neighbourhood instead of the
-  naive O(N^2) all-pairs scan.
+* **Dict of lists (large, no numpy or ``REPRO_SOA=0``).**  Filled from
+  the same scalar scan: nodes are bucketed into a uniform grid with cell
+  size equal to the radio range; only the 3x3 cell neighbourhood can
+  contain nodes within range, so the scan is O(N*k) for k nodes per
+  neighbourhood instead of the naive O(N^2) all-pairs scan.
 
 The dict-of-lists view and the frozen neighbour sets of the first two
 regimes, and the sets of the third, materialise only on demand.
@@ -130,8 +131,7 @@ class TopologySnapshot:
         elif soa.HAVE_NUMPY and soa.soa_enabled():
             self._csr = soa.build_csr(self.positions, self.radio_range)
         if self._masks is None and self._csr is None:
-            self._adjacency_store = {node: [] for node in self.positions}
-            self._build_adjacency()
+            self._adjacency_store = self._build_adjacency()
         if edge_filter is not None:
             self._apply_edge_filter()
 
@@ -198,12 +198,17 @@ class TopologySnapshot:
             if len(kept) != len(neighbors):
                 adjacency[node] = kept
 
-    def _build_masks(self) -> Tuple[List[int], List[int]]:
-        """Scalar spatial-hash build of the rank bitmasks.
+    def _scan(
+        self, tag: Callable[[int], int]
+    ) -> Tuple[List[int], List[List[int]]]:
+        """Scalar spatial-hash scan shared by the mask and dict builds.
 
-        The same grid and pair coverage as :meth:`_build_adjacency`, but
-        setting bits instead of appending: bit order is rank order, so
-        nothing needs sorting afterwards.
+        Returns ``(ids, near)``: ``ids[r]`` is the node at registration
+        rank ``r`` and ``near[r]`` holds ``tag(s)`` for every rank ``s``
+        within range of it, in scan order.  With cell size == radio
+        range, any node within range of a cell lies in that cell's 3x3
+        neighbourhood, so the scan is O(N*k) for k nodes per
+        neighbourhood instead of the naive O(N^2) all-pairs scan.
         """
         cell = self.radio_range if self.radio_range > 0 else 1.0
         limit_sq = self.radio_range * self.radio_range
@@ -213,68 +218,48 @@ class TopologySnapshot:
             ids.append(node)
             x, y = pos.x, pos.y
             key = (math.floor(x / cell), math.floor(y / cell))
-            grid.setdefault(key, []).append((rank, 1 << rank, x, y))
-        masks = [0] * len(ids)
-        half = ((1, 0), (0, 1), (1, 1), (-1, 1))
-        for (cx, cy), members in grid.items():
-            for index, (rank_a, bit_a, xa, ya) in enumerate(members):
-                for rank_b, bit_b, xb, yb in members[index + 1:]:
-                    dx = xa - xb
-                    dy = ya - yb
-                    if dx * dx + dy * dy <= limit_sq:
-                        masks[rank_a] |= bit_b
-                        masks[rank_b] |= bit_a
-            for ox, oy in half:
-                other = grid.get((cx + ox, cy + oy))
-                if other is None:
-                    continue
-                for rank_a, bit_a, xa, ya in members:
-                    for rank_b, bit_b, xb, yb in other:
-                        dx = xa - xb
-                        dy = ya - yb
-                        if dx * dx + dy * dy <= limit_sq:
-                            masks[rank_a] |= bit_b
-                            masks[rank_b] |= bit_a
-        return ids, masks
-
-    def _build_adjacency(self) -> None:
-        # Uniform spatial hash: with cell size == radio range, any node
-        # within range of a cell lies in that cell's 3x3 neighbourhood.
-        cell = self.radio_range if self.radio_range > 0 else 1.0
-        grid: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
-        for node, pos in self.positions.items():
-            key = (math.floor(pos.x / cell), math.floor(pos.y / cell))
-            grid.setdefault(key, []).append((node, pos))
-        adjacency = self._adjacency_store
-        limit_sq = self.radio_range * self.radio_range
+            grid.setdefault(key, []).append((rank, tag(rank), x, y))
+        near: List[List[int]] = [[] for _ in ids]
         # Half-neighbourhood offsets: each unordered cell pair is visited
         # exactly once; same-cell pairs are handled by the i<j inner loop.
         half = ((1, 0), (0, 1), (1, 1), (-1, 1))
         for (cx, cy), members in grid.items():
-            for index, (node_a, pos_a) in enumerate(members):
-                for node_b, pos_b in members[index + 1:]:
-                    dx = pos_a.x - pos_b.x
-                    dy = pos_a.y - pos_b.y
+            for index, (rank_a, tag_a, xa, ya) in enumerate(members):
+                for rank_b, tag_b, xb, yb in members[index + 1:]:
+                    dx = xa - xb
+                    dy = ya - yb
                     if dx * dx + dy * dy <= limit_sq:
-                        adjacency[node_a].append(node_b)
-                        adjacency[node_b].append(node_a)
+                        near[rank_a].append(tag_b)
+                        near[rank_b].append(tag_a)
             for ox, oy in half:
                 other = grid.get((cx + ox, cy + oy))
                 if other is None:
                     continue
-                for node_a, pos_a in members:
-                    for node_b, pos_b in other:
-                        dx = pos_a.x - pos_b.x
-                        dy = pos_a.y - pos_b.y
+                for rank_a, tag_a, xa, ya in members:
+                    for rank_b, tag_b, xb, yb in other:
+                        dx = xa - xb
+                        dy = ya - yb
                         if dx * dx + dy * dy <= limit_sq:
-                            adjacency[node_a].append(node_b)
-                            adjacency[node_b].append(node_a)
+                            near[rank_a].append(tag_b)
+                            near[rank_b].append(tag_a)
+        return ids, near
+
+    def _build_masks(self) -> Tuple[List[int], List[int]]:
+        """Scalar build of the rank bitmasks: bit order is rank order."""
+        ids, near = self._scan((1).__lshift__)
+        # Each neighbour contributes a distinct bit, so the sum is the union.
+        return ids, list(map(sum, near))
+
+    def _build_adjacency(self) -> Dict[int, List[int]]:
+        """Scalar build of the dict of lists."""
+        ids, near = self._scan(lambda rank: rank)
         # The naive all-pairs build emitted each neighbour list sorted by
-        # node insertion order; restore that order so BFS traversal (and
+        # node insertion order; keep that order so BFS traversal (and
         # therefore every routing/flood decision) is bit-identical.
-        order = {node: rank for rank, node in enumerate(self.positions)}
-        for neighbors in adjacency.values():
-            neighbors.sort(key=order.__getitem__)
+        return {
+            node: [ids[rank] for rank in sorted(ranks)]
+            for node, ranks in zip(ids, near)
+        }
 
     # ------------------------------------------------------------------
     # Queries
